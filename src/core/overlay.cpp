@@ -1,6 +1,7 @@
 #include "core/overlay.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -41,6 +42,9 @@ Overlay::Overlay(Population population) : population_(std::move(population)) {
   children_.resize(n);
   online_.assign(n, 1);
   online_count_ = population_.consumers.size();
+  root_.resize(n);
+  std::iota(root_.begin(), root_.end(), kSourceId);
+  depth_.assign(n, 0);
 }
 
 Overlay::Overlay(const Overlay& other)
@@ -50,6 +54,9 @@ Overlay::Overlay(const Overlay& other)
       children_(other.children_),
       online_(other.online_),
       online_count_(other.online_count_),
+      root_(other.root_),
+      depth_(other.depth_),
+      satisfied_count_(other.satisfied_count_),
       counters_(other.counters_) {}
 
 Overlay& Overlay::operator=(const Overlay& other) {
@@ -60,6 +67,9 @@ Overlay& Overlay::operator=(const Overlay& other) {
   children_ = other.children_;
   online_ = other.online_;
   online_count_ = other.online_count_;
+  root_ = other.root_;
+  depth_ = other.depth_;
+  satisfied_count_ = other.satisfied_count_;
   counters_ = other.counters_;
   attach_observer_ = nullptr;
   detach_observer_ = nullptr;
@@ -102,46 +112,33 @@ int Overlay::free_fanout(NodeId id) const {
 
 NodeId Overlay::root(NodeId id) const {
   check_id(id);
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) cur = parent_[cur];
-  return cur;
+  return root_[id];
 }
 
 int Overlay::depth_below_root(NodeId id) const {
   check_id(id);
-  int depth = 0;
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
-  return depth;
+  return depth_[id];
 }
 
 Delay Overlay::delay_at(NodeId id) const {
   check_id(id);
-  if (id == kSourceId) return 0;
-  int depth = 0;
-  NodeId cur = id;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
   // Connected: depth already counts the hop onto the source (a direct
-  // child is at depth 1 = poll period). Detached: optimistic +1 for the
-  // future hop from the group root onto the source.
-  return cur == kSourceId ? depth : depth + 1;
+  // child is at depth 1 = poll period; the source itself is at 0).
+  // Detached: optimistic +1 for the future hop from the group root onto
+  // the source.
+  return root_[id] == kSourceId ? depth_[id] : depth_[id] + 1;
 }
 
 bool Overlay::in_subtree(NodeId descendant, NodeId ancestor) const {
   check_id(descendant);
   check_id(ancestor);
+  if (root_[descendant] != root_[ancestor]) return false;
+  if (ancestor == root_[ancestor]) return true;  // a root holds its chain
+  int steps = depth_[descendant] - depth_[ancestor];
+  if (steps < 0) return false;
   NodeId cur = descendant;
-  while (true) {
-    if (cur == ancestor) return true;
-    if (parent_[cur] == kNoNode) return false;
-    cur = parent_[cur];
-  }
+  for (; steps > 0; --steps) cur = parent_[cur];
+  return cur == ancestor;
 }
 
 std::vector<NodeId> Overlay::subtree(NodeId id) const {
@@ -191,9 +188,8 @@ bool Overlay::can_attach(NodeId child, NodeId parent) const {
   if (parent_[child] != kNoNode) return false;
   if (free_fanout(parent) <= 0) return false;
   // child is a chain root, so a cycle occurs exactly when parent lies in
-  // child's subtree.
-  if (in_subtree(parent, child)) return false;
-  return true;
+  // child's subtree, i.e. when child is parent's chain root.
+  return root_[parent] != child;
 }
 
 void Overlay::attach(NodeId child, NodeId parent) {
@@ -201,6 +197,7 @@ void Overlay::attach(NodeId child, NodeId parent) {
                      "attach precondition violated");
   parent_[child] = parent;
   children_[parent].push_back(child);
+  shift_subtree(child, root_[parent], depth_[parent] + 1);
   ++counters_.attaches;
   record_edge_event("edge_attach", child, parent, true);
   if (attach_observer_) attach_observer_(child, parent);
@@ -216,34 +213,31 @@ void Overlay::detach(NodeId child) {
   LAGOVER_ASSERT(it != siblings.end());
   siblings.erase(it);
   parent_[child] = kNoNode;
+  shift_subtree(child, child, -depth_[child]);
   ++counters_.detaches;
   record_edge_event("edge_detach", child, p, false);
 }
 
+void Overlay::shift_subtree(NodeId node, NodeId root, int depth_delta) {
+  walk_stack_.clear();
+  walk_stack_.push_back(node);
+  while (!walk_stack_.empty()) {
+    const NodeId cur = walk_stack_.back();
+    walk_stack_.pop_back();
+    if (satisfied(cur)) --satisfied_count_;
+    root_[cur] = root;
+    depth_[cur] += depth_delta;
+    if (satisfied(cur)) ++satisfied_count_;
+    for (NodeId child : children_[cur]) walk_stack_.push_back(child);
+  }
+}
+
 bool Overlay::satisfied(NodeId id) const {
   check_id(id);
-  if (id == kSourceId) return true;
-  if (!online_[id]) return false;
-  NodeId cur = id;
-  int depth = 0;
-  while (parent_[cur] != kNoNode) {
-    cur = parent_[cur];
-    ++depth;
-  }
-  return cur == kSourceId && depth <= latency_of(id);
-}
-
-std::size_t Overlay::satisfied_count() const {
-  std::size_t count = 0;
-  for (NodeId id = 1; id < specs_.size(); ++id)
-    if (online_[id] && satisfied(id)) ++count;
-  return count;
-}
-
-bool Overlay::all_satisfied() const {
-  for (NodeId id = 1; id < specs_.size(); ++id)
-    if (online_[id] && !satisfied(id)) return false;
-  return true;
+  // No online check needed: offline nodes hold no edges, so their chain
+  // root is themselves, never the source.
+  return id == kSourceId ||
+         (root_[id] == kSourceId && depth_[id] <= latency_of(id));
 }
 
 double Overlay::satisfied_fraction() const {
@@ -256,6 +250,7 @@ void Overlay::audit() const {
   LAGOVER_ASSERT(parent_[kSourceId] == kNoNode);
   LAGOVER_ASSERT(online_[kSourceId] != 0);
   std::size_t observed_online = 0;
+  std::size_t observed_satisfied = 0;
   for (NodeId id = 0; id < specs_.size(); ++id) {
     // Fanout bound.
     LAGOVER_ASSERT_MSG(
@@ -291,8 +286,16 @@ void Overlay::audit() const {
       LAGOVER_ASSERT_MSG(steps <= specs_.size(),
                          "cycle detected from node " + std::to_string(id));
     }
+    // The index agrees with the walk.
+    LAGOVER_ASSERT_MSG(
+        root_[id] == cur && depth_[id] == static_cast<int>(steps),
+        "stale root/depth index at node " + std::to_string(id));
+    if (id != kSourceId && online_[id] && cur == kSourceId &&
+        static_cast<int>(steps) <= latency_of(id))
+      ++observed_satisfied;
   }
   LAGOVER_ASSERT(observed_online == online_count_);
+  LAGOVER_ASSERT(observed_satisfied == satisfied_count_);
 }
 
 NodeId Overlay::first_greedy_order_violation() const {

@@ -8,6 +8,11 @@
 // report an *optimistic* delay (their depth within the group + 1,
 // i.e. as if the group root were polling the source directly), which is
 // the local knowledge a group has while bootstrapping.
+//
+// Every node's chain root and depth below that root, and the number of
+// satisfied consumers, are kept as an index that attach/detach update in
+// O(moved subtree), so the Table 1 queries and "all online consumers
+// satisfied" are O(1) reads.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +66,22 @@ class Overlay {
   int free_fanout(NodeId id) const;
 
   /// Root(): the top of id's chain (the source if connected). Root of
-  /// the source is the source itself.
+  /// the source is the source itself. O(1).
   NodeId root(NodeId id) const;
 
   /// True iff Root(id) == source, i.e. the node actually receives the feed.
   bool connected(NodeId id) const { return root(id) == kSourceId; }
 
   /// DelayAt(): tree depth if connected; depth-within-group + 1
-  /// (optimistic) for detached nodes. DelayAt(source) == 0.
+  /// (optimistic) for detached nodes. DelayAt(source) == 0. O(1).
   Delay delay_at(NodeId id) const;
 
-  /// Depth of id below its chain root (root itself has depth 0).
+  /// Depth of id below its chain root (root itself has depth 0). O(1).
   int depth_below_root(NodeId id) const;
 
   /// True iff `descendant` lies in the subtree rooted at `ancestor`
-  /// (a node is its own descendant).
+  /// (a node is its own descendant). O(1) on a root or depth mismatch or
+  /// when ancestor is a chain root, else walks up the depth difference.
   bool in_subtree(NodeId descendant, NodeId ancestor) const;
 
   /// All nodes in the subtree rooted at id (preorder), including id.
@@ -118,15 +124,17 @@ class Overlay {
   }
 
   // --- constraint satisfaction ------------------------------------------
-  /// True iff id is online, connected, and DelayAt(id) <= l_id.
+  /// True iff id is online, connected, and DelayAt(id) <= l_id. O(1).
   bool satisfied(NodeId id) const;
 
-  /// Number of online consumers currently satisfied.
-  std::size_t satisfied_count() const;
+  /// Number of online consumers currently satisfied. O(1).
+  std::size_t satisfied_count() const noexcept { return satisfied_count_; }
 
   /// True iff every online consumer is satisfied ("the LagOver is
-  /// constructed").
-  bool all_satisfied() const;
+  /// constructed"). O(1).
+  bool all_satisfied() const noexcept {
+    return satisfied_count_ == online_count_;
+  }
 
   /// Fraction of online consumers satisfied (1.0 when no one is online).
   double satisfied_fraction() const;
@@ -135,8 +143,10 @@ class Overlay {
 
   // --- diagnostics -----------------------------------------------------
   /// Verifies structural invariants (parent/child symmetry, fanout
-  /// bounds, acyclicity, offline nodes detached); aborts with a message
-  /// on violation. Cheap enough to call per round in tests.
+  /// bounds, acyclicity, offline nodes detached) and that the stored
+  /// root/depth index and satisfied count match a walk of every chain;
+  /// aborts with a message on violation. Cheap enough to call per round in
+  /// tests.
   void audit() const;
 
   /// Checks the greedy ordering invariant i <- j ==> l_j <= l_i over all
@@ -149,6 +159,10 @@ class Overlay {
 
  private:
   void check_id(NodeId id) const;
+  /// Moves node's subtree under chain root `root`, shifting every
+  /// member's depth by `depth_delta` and keeping satisfied_count_.
+  /// O(subtree); reuses walk_stack_.
+  void shift_subtree(NodeId node, NodeId root, int depth_delta);
 
   Population population_;
   std::vector<NodeSpec> specs_;       // index = id; [0] is the source
@@ -156,6 +170,11 @@ class Overlay {
   std::vector<std::vector<NodeId>> children_;
   std::vector<char> online_;          // [0] always true
   std::size_t online_count_ = 0;      // consumers only
+  // Index over the forest: chain root and depth below it per node.
+  std::vector<NodeId> root_;
+  std::vector<int> depth_;
+  std::size_t satisfied_count_ = 0;   // consumers only
+  std::vector<NodeId> walk_stack_;    // scratch for shift_subtree
   OverlayCounters counters_;
   EdgeObserver attach_observer_;
   EdgeObserver detach_observer_;

@@ -228,9 +228,12 @@ TEST(RssTest, PeakIsMonotonicAndAboveCurrent) {
   // Touch a real chunk of memory; the high-water mark must not drop.
   std::vector<char> ballast(8 << 20, 1);
   for (std::size_t i = 0; i < ballast.size(); i += 4096) ballast[i] = 2;
+  // Read RSS before the high-water mark it is compared with: RSS may
+  // keep growing between the two reads (it does under ASan), but VmHWM
+  // is never below any earlier RSS.
+  const std::uint64_t current = telemetry::current_rss_bytes();
   const std::uint64_t peak_after = telemetry::peak_rss_bytes();
   EXPECT_GE(peak_after, peak_before);
-  const std::uint64_t current = telemetry::current_rss_bytes();
   if (current != 0) {
     EXPECT_GE(peak_after, current);
   }
