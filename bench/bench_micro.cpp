@@ -8,7 +8,10 @@
 // parses the shared bench flags afterwards so the run emits the same
 // "lagover.bench.v1" summary as every other bench, with each
 // benchmark's per-iteration real time (normalized to nanoseconds) as a
-// headline scalar.
+// headline scalar. Under --perf every benchmark runs a fixed iteration
+// count instead of as many as its time budget allows, so the rounds,
+// messages and allocation counts in the perf section measure the same
+// work on every machine and at every speed.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"
@@ -45,7 +48,6 @@ void BM_OverlayAttachDetach(benchmark::State& state) {
     overlay.detach(child);
   }
 }
-BENCHMARK(BM_OverlayAttachDetach)->Arg(120)->Arg(960);
 
 void BM_OverlayDelayAt(benchmark::State& state) {
   // A maximal chain: delay_at cost is proportional to depth.
@@ -61,7 +63,6 @@ void BM_OverlayDelayAt(benchmark::State& state) {
   const auto leaf = static_cast<NodeId>(n);
   for (auto _ : state) benchmark::DoNotOptimize(overlay.delay_at(leaf));
 }
-BENCHMARK(BM_OverlayDelayAt)->Arg(16)->Arg(128);
 
 void BM_OracleSample(benchmark::State& state) {
   Overlay overlay(rand_population(static_cast<std::size_t>(state.range(0))));
@@ -70,7 +71,6 @@ void BM_OracleSample(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(oracle->sample(1, overlay, rng));
 }
-BENCHMARK(BM_OracleSample)->Arg(120)->Arg(960);
 
 void BM_EngineRound(benchmark::State& state) {
   EngineConfig config;
@@ -79,7 +79,6 @@ void BM_EngineRound(benchmark::State& state) {
                 config);
   for (auto _ : state) benchmark::DoNotOptimize(engine.run_round());
 }
-BENCHMARK(BM_EngineRound)->Arg(120)->Arg(960);
 
 void BM_FullConstruction(benchmark::State& state) {
   const Population population =
@@ -92,7 +91,6 @@ void BM_FullConstruction(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.run_until_converged(5000));
   }
 }
-BENCHMARK(BM_FullConstruction)->Arg(120)->Unit(benchmark::kMillisecond);
 
 void BM_SufficiencyCondition(benchmark::State& state) {
   const Population population =
@@ -100,7 +98,6 @@ void BM_SufficiencyCondition(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(sufficiency_condition(population));
 }
-BENCHMARK(BM_SufficiencyCondition)->Arg(120)->Arg(960);
 
 void BM_ExactFeasibility(benchmark::State& state) {
   const Population population =
@@ -108,7 +105,6 @@ void BM_ExactFeasibility(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(feasible_depths(population));
 }
-BENCHMARK(BM_ExactFeasibility)->Arg(120)->Arg(960);
 
 void BM_SnapshotRoundTrip(benchmark::State& state) {
   EngineConfig config;
@@ -119,7 +115,6 @@ void BM_SnapshotRoundTrip(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(from_snapshot(to_snapshot(engine.overlay())));
 }
-BENCHMARK(BM_SnapshotRoundTrip)->Arg(120)->Arg(960);
 
 void BM_ValidateOverlay(benchmark::State& state) {
   EngineConfig config;
@@ -130,7 +125,6 @@ void BM_ValidateOverlay(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(validate_overlay(engine.overlay()));
 }
-BENCHMARK(BM_ValidateOverlay)->Arg(120)->Arg(960);
 
 void BM_OptimizeShallowCapacity(benchmark::State& state) {
   const Population population =
@@ -145,7 +139,6 @@ void BM_OptimizeShallowCapacity(benchmark::State& state) {
     benchmark::DoNotOptimize(optimize_shallow_capacity(engine.overlay()));
   }
 }
-BENCHMARK(BM_OptimizeShallowCapacity)->Arg(120)->Unit(benchmark::kMillisecond);
 
 void BM_ChordLookup(benchmark::State& state) {
   dht::ChordRing ring(static_cast<std::size_t>(state.range(0)),
@@ -156,7 +149,51 @@ void BM_ChordLookup(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(ring.lookup_sync(0, dht::hash_u64(++key)));
 }
-BENCHMARK(BM_ChordLookup)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/// One micro-benchmark: its argument sweep, display unit, and the
+/// iteration count it runs under --perf (4 to 110 ms per argument on
+/// one core of a shared Xeon VM).
+struct Micro {
+  const char* name;
+  void (*run)(benchmark::State&);
+  std::vector<std::int64_t> args;
+  benchmark::TimeUnit unit;
+  benchmark::IterationCount perf_iterations;
+};
+
+void register_micros(bool fixed_iterations) {
+  const Micro micros[] = {
+      {"BM_OverlayAttachDetach", BM_OverlayAttachDetach, {120, 960},
+       benchmark::kNanosecond, 1000000},
+      {"BM_OverlayDelayAt", BM_OverlayDelayAt, {16, 128},
+       benchmark::kNanosecond, 10000000},
+      {"BM_OracleSample", BM_OracleSample, {120, 960},
+       benchmark::kNanosecond, 10000},
+      {"BM_EngineRound", BM_EngineRound, {120, 960}, benchmark::kNanosecond,
+       500},
+      {"BM_FullConstruction", BM_FullConstruction, {120},
+       benchmark::kMillisecond, 100},
+      {"BM_SufficiencyCondition", BM_SufficiencyCondition, {120, 960},
+       benchmark::kNanosecond, 5000},
+      {"BM_ExactFeasibility", BM_ExactFeasibility, {120, 960},
+       benchmark::kNanosecond, 1000},
+      {"BM_SnapshotRoundTrip", BM_SnapshotRoundTrip, {120, 960},
+       benchmark::kNanosecond, 50},
+      {"BM_ValidateOverlay", BM_ValidateOverlay, {120, 960},
+       benchmark::kNanosecond, 5000},
+      {"BM_OptimizeShallowCapacity", BM_OptimizeShallowCapacity, {120},
+       benchmark::kMillisecond, 500},
+      {"BM_ChordLookup", BM_ChordLookup, {16, 64}, benchmark::kMicrosecond,
+       500},
+  };
+  for (const Micro& micro : micros) {
+    benchmark::internal::Benchmark* bench =
+        benchmark::RegisterBenchmark(micro.name, micro.run);
+    for (const std::int64_t arg : micro.args) bench->Arg(arg);
+    bench->Unit(micro.unit);
+    if (fixed_iterations) bench->Iterations(micro.perf_iterations);
+  }
+}
 
 /// Console output as usual, plus every iteration-level run captured so
 /// main can emit them as bench-JSON scalars.
@@ -177,7 +214,11 @@ class CapturingReporter final : public benchmark::ConsoleReporter {
       // JSON is unit-uniform regardless of each benchmark's Unit().
       const double to_ns =
           1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
-      captured.push_back({run.benchmark_name(),
+      // The name leaves out a fixed iteration count (--perf), so a
+      // benchmark keeps one name in both modes.
+      benchmark::BenchmarkName name = run.run_name;
+      name.iterations.clear();
+      captured.push_back({name.str(),
                           run.GetAdjustedRealTime() * to_ns,
                           run.GetAdjustedCPUTime() * to_ns});
     }
@@ -194,6 +235,7 @@ int main(int argc, char** argv) {
   // flags (--bench-json, --telemetry, ...) are whatever remains.
   benchmark::Initialize(&argc, argv);
   const auto options = lagover::bench::BenchOptions::parse(argc, argv);
+  lagover::register_micros(/*fixed_iterations=*/options.perf);
   lagover::bench::BenchJson bench_json("bench_micro", options);
   lagover::bench::TelemetryExport telemetry_export(options);
 

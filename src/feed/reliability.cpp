@@ -34,6 +34,7 @@ class LossyDissemination {
     last_polled_.assign(overlay_.node_count(), 0);
     received_.assign(overlay_.node_count(), {});
     delivery_time_.assign(overlay_.node_count(), {});
+    low_water_.assign(overlay_.node_count(), 1);
 
     for (NodeId poller : overlay_.children(kSourceId)) {
       if (!overlay_.online(poller)) continue;
@@ -68,6 +69,8 @@ class LossyDissemination {
     }
     got[seq] = 1;
     times[seq] = when;
+    auto& low = low_water_[node];
+    while (has(node, low)) ++low;
   }
 
   /// Emits a receipt/drop/duplicate span; all identity comes from the
@@ -189,8 +192,11 @@ class LossyDissemination {
   /// constraints first, so an exhausted budget sheds the children with
   /// the most slack l_i; stable sort keeps id tie-breaks deterministic.
   /// With no capacity configured this is exactly the plain child walk.
-  std::vector<NodeId> forward_targets(NodeId node) const {
-    std::vector<NodeId> order;
+  /// Fills and returns a member scratch vector; the caller's loop only
+  /// schedules events, so nothing refills it while it is walked.
+  const std::vector<NodeId>& forward_targets(NodeId node) {
+    std::vector<NodeId>& order = targets_;
+    order.clear();
     for (NodeId child : overlay_.children(node))
       if (overlay_.online(child)) order.push_back(child);
     if (!config_.base.capacity.empty() && config_.base.capacity.shedding &&
@@ -227,12 +233,15 @@ class LossyDissemination {
     }
     const auto& parent_got = received_[parent];
     if (config_.repair == RepairMode::kNack) {
-      // Gap detection: scan the sequence space up to the parent's
-      // high-water mark and NACK exactly the missing numbers — but only
-      // when there is something to ask for. Identical repair set to the
-      // blanket pull, strictly fewer repair messages.
-      std::vector<std::uint64_t> gaps;
-      for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq)
+      // Gap detection: scan the sequence space from the node's first
+      // missing number up to the parent's high-water mark and NACK
+      // exactly the missing numbers — but only when there is something
+      // to ask for. Identical repair set to the blanket pull, strictly
+      // fewer repair messages.
+      std::vector<std::uint64_t>& gaps = gaps_;
+      gaps.clear();
+      for (std::uint64_t seq = low_water_[node]; seq < parent_got.size();
+           ++seq)
         if (parent_got[seq] != 0 && !has(node, seq)) gaps.push_back(seq);
       if (!gaps.empty()) {
         ++recovery_pulls_;
@@ -256,7 +265,8 @@ class LossyDissemination {
       const std::uint32_t hop =
           static_cast<std::uint32_t>(overlay_.delay_at(node));
       const SimTime sent_at = sim_.now();
-      for (std::uint64_t seq = 1; seq < parent_got.size(); ++seq) {
+      for (std::uint64_t seq = low_water_[node]; seq < parent_got.size();
+           ++seq) {
         if (parent_got[seq] == 0 || has(node, seq)) continue;
         const FeedItem item = source_.items()[seq - 1];
         sim_.schedule_after(config_.base.hop_delay,
@@ -328,6 +338,11 @@ class LossyDissemination {
   std::vector<std::uint64_t> last_polled_;
   std::vector<std::vector<char>> received_;       // [node][seq]
   std::vector<std::vector<double>> delivery_time_;  // [node][seq]
+  /// Per node, the first sequence number it lacks (it holds every
+  /// smaller one): repair scans start here instead of at 1.
+  std::vector<std::uint64_t> low_water_;
+  std::vector<NodeId> targets_;      // forward_targets() scratch
+  std::vector<std::uint64_t> gaps_;  // recover() NACK scratch
   std::uint64_t pushed_ = 0;
   std::uint64_t recovered_ = 0;
   std::uint64_t lost_ = 0;

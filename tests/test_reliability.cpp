@@ -166,6 +166,38 @@ TEST(ReliabilityTest, NackUnderDuplicatesStaysExactlyOnce) {
   EXPECT_GT(report.nacked_items, 0u);
 }
 
+TEST(ReliabilityTest, SeededNackReportIsPinned) {
+  // Byte-identity gate for the NACK repair path, which no bench runs:
+  // every field of one seeded report (loss, duplicate storm, shedding
+  // relay budget), as computed before the repair scan started at each
+  // node's low-water mark and before the vector-heap event kernel.
+  const Overlay overlay = converged_overlay(60, 12);
+  feed::LossyConfig config;
+  config.base.seed = 29;
+  config.push_loss = 0.2;
+  config.duplicate_probability = 0.1;
+  config.repair = feed::RepairMode::kNack;
+  config.base.capacity.relay_budget = 3;
+  config.base.capacity.shedding = true;
+  const auto report = feed::run_lossy_dissemination(overlay, config, 300.0);
+  EXPECT_EQ(report.duration, 300.0);
+  EXPECT_EQ(report.items_published, 100u);
+  EXPECT_EQ(report.connected_consumers, 60u);
+  EXPECT_EQ(report.expected_deliveries, 5760u);
+  EXPECT_EQ(report.push_deliveries, 4520u);
+  EXPECT_EQ(report.lost_pushes, 980u);
+  EXPECT_EQ(report.recovered_deliveries, 1373u);
+  EXPECT_EQ(report.recovery_pulls, 3282u);
+  EXPECT_EQ(report.delivery_ratio, 1.0);
+  EXPECT_EQ(report.late_deliveries, 809u);
+  EXPECT_EQ(report.applications, 5893u);
+  EXPECT_EQ(report.duplicate_pushes, 417u);
+  EXPECT_EQ(report.duplicates_suppressed, 2353u);
+  EXPECT_EQ(report.nacked_items, 3324u);
+  EXPECT_EQ(report.withheld_pushes, 0u);
+  EXPECT_EQ(report.shed_pushes, 402u);
+}
+
 TEST(ReliabilityTest, DeterministicPerSeed) {
   const Overlay overlay = converged_overlay(40, 7);
   feed::LossyConfig config;
