@@ -3,16 +3,21 @@
 // AdmittedOracle's stale-cache serving and rejection signalling, and the
 // engine-level guarantees — an empty AdmissionConfig normalizes away
 // (byte-identical run), a permissive one changes nothing either, and a
-// tight one actually rations the Oracle.
+// tight one actually rations the Oracle — and the Oracle stack the
+// engine kernel builds survives a set_oracle() swap unchanged.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/admission.hpp"
 #include "core/async_engine.hpp"
 #include "core/engine.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "workload/constraints.hpp"
 
 namespace lagover {
@@ -240,6 +245,82 @@ TEST(EngineAdmissionTest, TightAdmissionRationsTheOracle) {
   EXPECT_GT(engine.admission()->stale_verdicts() +
                 engine.admission()->rejected(),
             0u);
+}
+
+// set_oracle() rebuilds the Oracle stack (base <- Admitted <- Faulty)
+// and the construction core over a replacement base Oracle. Swapping in
+// an equal base before the run must change nothing: same trace stream,
+// parents, admission counters and fault stats as an engine left alone,
+// and a trace subscription made before the swap keeps receiving.
+struct StackRun {
+  std::vector<std::string> events;
+  std::vector<NodeId> parents;
+  std::vector<std::uint64_t> counters;
+};
+
+template <typename EngineT, typename Config, typename Run>
+StackRun run_stack(Config config, bool swap_oracle, Run run) {
+  fault::FaultPlan plan;
+  plan.add(fault::FaultPlan::drop(5.0, 40.0, 0.2))
+      .add(fault::FaultPlan::oracle_outage(20.0, 30.0))
+      .add(fault::FaultPlan::crashes(10.0, 60.0, 0.02, 4.0));
+  config.faults = std::make_shared<fault::FaultInjector>(plan, config.seed);
+  config.admission = tight(3.0, /*serve_stale=*/true);
+  EngineT engine(small_population(40, config.seed), config);
+  StackRun out;
+  engine.set_trace([&out](const TraceEvent& event) {
+    std::ostringstream line;
+    line << event.round << ' ' << to_string(event.type) << ' '
+         << event.subject << ' ' << event.partner << ' ' << event.attached
+         << ' ' << event.when << ' ' << event.epoch << ' ' << event.cause;
+    out.events.push_back(line.str());
+  });
+  if (swap_oracle) engine.set_oracle(make_oracle(config.oracle));
+  run(engine);
+  out.parents = parents_of(engine.overlay());
+  const AdmissionController& admission = *engine.admission();
+  const fault::FaultStats& faults = engine.faults()->stats();
+  out.counters = {admission.admitted(),
+                  admission.rejected(),
+                  admission.stale_verdicts(),
+                  admission.breaker_trips(),
+                  admission.breaker_closes(),
+                  engine.admitted_oracle()->stale_served(),
+                  faults.messages_dropped,
+                  faults.partition_blocks,
+                  faults.oracle_outage_queries,
+                  faults.crashes};
+  return out;
+}
+
+void expect_same_run(const StackRun& alone, const StackRun& swapped) {
+  ASSERT_FALSE(alone.events.empty());
+  EXPECT_EQ(alone.events, swapped.events);
+  EXPECT_EQ(alone.parents, swapped.parents);
+  EXPECT_EQ(alone.counters, swapped.counters);
+  // The layers did work: admission rationed and the fault plan dropped
+  // messages and crashed nodes.
+  EXPECT_GT(alone.counters[1] + alone.counters[2], 0u);
+  EXPECT_GT(alone.counters[6], 0u);
+  EXPECT_GT(alone.counters[9], 0u);
+}
+
+TEST(EngineAdmissionTest, OracleSwapKeepsTheStackSync) {
+  EngineConfig config;
+  config.seed = 17;
+  const auto run = [](Engine& engine) {
+    for (int r = 0; r < 80; ++r) engine.run_round();
+  };
+  expect_same_run(run_stack<Engine>(config, false, run),
+                  run_stack<Engine>(config, true, run));
+}
+
+TEST(EngineAdmissionTest, OracleSwapKeepsTheStackAsync) {
+  AsyncConfig config;
+  config.seed = 19;
+  const auto run = [](AsyncEngine& engine) { engine.run_for(80.0); };
+  expect_same_run(run_stack<AsyncEngine>(config, false, run),
+                  run_stack<AsyncEngine>(config, true, run));
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Tests for the statistics toolkit (summaries, samples, histograms,
-// time series, bootstrap intervals).
+// time series).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/bootstrap.hpp"
 #include "stats/histogram.hpp"
 #include "stats/sample.hpp"
 #include "stats/summary.hpp"
@@ -162,23 +161,6 @@ TEST(TimeSeriesTest, CsvHasHeaderAndRows) {
   const std::string csv = ts.to_csv("fraction");
   EXPECT_NE(csv.find("t,fraction"), std::string::npos);
   EXPECT_NE(csv.find("1,2"), std::string::npos);
-}
-
-TEST(BootstrapTest, MedianCiCoversPointEstimate) {
-  Rng rng(11);
-  std::vector<double> values{10, 12, 9, 11, 10, 13, 10, 9, 11, 12};
-  const auto ci = bootstrap_median_ci(values, 0.95, 2000, rng);
-  EXPECT_LE(ci.lower, ci.point);
-  EXPECT_GE(ci.upper, ci.point);
-  EXPECT_NEAR(ci.point, 10.5, 1e-12);
-}
-
-TEST(BootstrapTest, MeanCiNarrowsWithTightData) {
-  Rng rng(12);
-  std::vector<double> tight(50, 5.0);
-  const auto ci = bootstrap_mean_ci(tight, 0.95, 500, rng);
-  EXPECT_DOUBLE_EQ(ci.lower, 5.0);
-  EXPECT_DOUBLE_EQ(ci.upper, 5.0);
 }
 
 }  // namespace
