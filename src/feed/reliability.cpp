@@ -1,6 +1,7 @@
 #include "feed/reliability.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -35,6 +36,15 @@ class LossyDissemination {
     received_.assign(overlay_.node_count(), {});
     delivery_time_.assign(overlay_.node_count(), {});
     low_water_.assign(overlay_.node_count(), 1);
+    high_water_.assign(overlay_.node_count(), 0);
+    // Items the run publishes (exact for a periodic schedule, the mean
+    // for a Poisson one): each node's receipt vectors are sized to it on
+    // their first receipt instead of growing one sequence number at a
+    // time.
+    const double expected_items = duration / config_.base.source.publish_period;
+    seq_capacity_ = std::isfinite(expected_items)
+                        ? static_cast<std::size_t>(expected_items) + 2
+                        : 0;
 
     for (NodeId poller : overlay_.children(kSourceId)) {
       if (!overlay_.online(poller)) continue;
@@ -64,11 +74,16 @@ class LossyDissemination {
     auto& got = received_[node];
     auto& times = delivery_time_[node];
     if (seq >= got.size()) {
-      got.resize(seq + 1, 0);
-      times.resize(seq + 1, -1.0);
+      // A Poisson schedule can publish past the expected count: grow
+      // geometrically beyond it.
+      const std::size_t size = std::max<std::size_t>(
+          {seq + 1, seq_capacity_, 2 * got.size()});
+      got.resize(size, 0);
+      times.resize(size, -1.0);
     }
     got[seq] = 1;
     times[seq] = when;
+    high_water_[node] = std::max<std::uint64_t>(high_water_[node], seq + 1);
     auto& low = low_water_[node];
     while (has(node, low)) ++low;
   }
@@ -232,6 +247,7 @@ class LossyDissemination {
       return;
     }
     const auto& parent_got = received_[parent];
+    const std::uint64_t parent_high = high_water_[parent];
     if (config_.repair == RepairMode::kNack) {
       // Gap detection: scan the sequence space from the node's first
       // missing number up to the parent's high-water mark and NACK
@@ -240,8 +256,7 @@ class LossyDissemination {
       // fewer repair messages.
       std::vector<std::uint64_t>& gaps = gaps_;
       gaps.clear();
-      for (std::uint64_t seq = low_water_[node]; seq < parent_got.size();
-           ++seq)
+      for (std::uint64_t seq = low_water_[node]; seq < parent_high; ++seq)
         if (parent_got[seq] != 0 && !has(node, seq)) gaps.push_back(seq);
       if (!gaps.empty()) {
         ++recovery_pulls_;
@@ -265,8 +280,7 @@ class LossyDissemination {
       const std::uint32_t hop =
           static_cast<std::uint32_t>(overlay_.delay_at(node));
       const SimTime sent_at = sim_.now();
-      for (std::uint64_t seq = low_water_[node]; seq < parent_got.size();
-           ++seq) {
+      for (std::uint64_t seq = low_water_[node]; seq < parent_high; ++seq) {
         if (parent_got[seq] == 0 || has(node, seq)) continue;
         const FeedItem item = source_.items()[seq - 1];
         sim_.schedule_after(config_.base.hop_delay,
@@ -341,6 +355,10 @@ class LossyDissemination {
   /// Per node, the first sequence number it lacks (it holds every
   /// smaller one): repair scans start here instead of at 1.
   std::vector<std::uint64_t> low_water_;
+  /// Per node, one past the largest sequence number it holds: repair
+  /// scans of a parent end here.
+  std::vector<std::uint64_t> high_water_;
+  std::size_t seq_capacity_ = 0;  // receipt vector size per node
   std::vector<NodeId> targets_;      // forward_targets() scratch
   std::vector<std::uint64_t> gaps_;  // recover() NACK scratch
   std::uint64_t pushed_ = 0;
