@@ -57,10 +57,11 @@ class Oracle {
   OracleStats stats_;
 };
 
-/// Centralized (directory-style) oracle: scans the membership and picks
-/// uniformly among nodes passing the configured filter. This is the
-/// idealized oracle the paper simulates; it is also the behaviour the
-/// DHT-backed directory converges to.
+/// Centralized (directory-style) oracle: picks uniformly among nodes
+/// passing the configured filter, drawing once from the overlay's
+/// per-(delay level, free fanout) sampling index in O(levels). This is
+/// the idealized oracle the paper simulates; it is also the behaviour
+/// the DHT-backed directory converges to.
 class DirectoryOracle final : public Oracle {
  public:
   explicit DirectoryOracle(OracleKind kind) : kind_(kind) {}

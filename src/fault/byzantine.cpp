@@ -150,9 +150,11 @@ bool ByzantineOracle::eligible_claimed(NodeId querier, NodeId candidate,
 std::optional<NodeId> ByzantineOracle::sample_impl(NodeId querier,
                                                    const Overlay& overlay,
                                                    Rng& rng) {
-  // Reservoir-of-one over claim-eligible candidates: the exact sampling
-  // discipline of DirectoryOracle, so an all-honest book draws the same
-  // RNG sequence and returns the same partners.
+  // Reservoir-of-one over claim-eligible candidates: uniform, one draw
+  // per candidate. Claims and the plausibility filter depend on the
+  // book, so this scans the membership instead of using the overlay's
+  // sampling index; an all-honest book gives DirectoryOracle's
+  // distribution, not its RNG stream.
   std::optional<NodeId> chosen;
   std::uint64_t seen = 0;
   for (NodeId id = 1; id < overlay.node_count(); ++id) {
