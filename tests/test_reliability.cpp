@@ -169,8 +169,10 @@ TEST(ReliabilityTest, NackUnderDuplicatesStaysExactlyOnce) {
 TEST(ReliabilityTest, SeededNackReportIsPinned) {
   // Byte-identity gate for the NACK repair path, which no bench runs:
   // every field of one seeded report (loss, duplicate storm, shedding
-  // relay budget), as computed before the repair scan started at each
-  // node's low-water mark and before the vector-heap event kernel.
+  // relay budget). The feed-layer numbers held through the low-water
+  // repair scan, the vector-heap event kernel and per-node receipt
+  // vectors sized once; they moved only when the overlay under the run
+  // was rebuilt by the indexed Oracle, whose RNG stream differs.
   const Overlay overlay = converged_overlay(60, 12);
   feed::LossyConfig config;
   config.base.seed = 29;
@@ -184,18 +186,18 @@ TEST(ReliabilityTest, SeededNackReportIsPinned) {
   EXPECT_EQ(report.items_published, 100u);
   EXPECT_EQ(report.connected_consumers, 60u);
   EXPECT_EQ(report.expected_deliveries, 5760u);
-  EXPECT_EQ(report.push_deliveries, 4520u);
-  EXPECT_EQ(report.lost_pushes, 980u);
-  EXPECT_EQ(report.recovered_deliveries, 1373u);
-  EXPECT_EQ(report.recovery_pulls, 3282u);
+  EXPECT_EQ(report.push_deliveries, 4759u);
+  EXPECT_EQ(report.lost_pushes, 1040u);
+  EXPECT_EQ(report.recovered_deliveries, 1146u);
+  EXPECT_EQ(report.recovery_pulls, 3122u);
   EXPECT_EQ(report.delivery_ratio, 1.0);
-  EXPECT_EQ(report.late_deliveries, 809u);
-  EXPECT_EQ(report.applications, 5893u);
-  EXPECT_EQ(report.duplicate_pushes, 417u);
-  EXPECT_EQ(report.duplicates_suppressed, 2353u);
-  EXPECT_EQ(report.nacked_items, 3324u);
+  EXPECT_EQ(report.late_deliveries, 464u);
+  EXPECT_EQ(report.applications, 5905u);
+  EXPECT_EQ(report.duplicate_pushes, 443u);
+  EXPECT_EQ(report.duplicates_suppressed, 2459u);
+  EXPECT_EQ(report.nacked_items, 3172u);
   EXPECT_EQ(report.withheld_pushes, 0u);
-  EXPECT_EQ(report.shed_pushes, 402u);
+  EXPECT_EQ(report.shed_pushes, 112u);
 }
 
 TEST(ReliabilityTest, DeterministicPerSeed) {
