@@ -78,7 +78,6 @@ class PhiAccrualDetector {
 
  private:
   struct Link {
-    std::vector<double> intervals;  ///< ring buffer of size config.window
     std::size_t next = 0;           ///< ring write position
     std::size_t count = 0;          ///< valid entries (<= window)
     double last_heartbeat = -1.0;
@@ -88,6 +87,9 @@ class PhiAccrualDetector {
 
   PhiConfig config_;
   std::vector<Link> links_;
+  /// Each link's ring buffer of config.window intervals, link after link
+  /// in one array: a detector for n links allocates once, not n times.
+  std::vector<double> intervals_;
 };
 
 }  // namespace lagover::health
